@@ -2,8 +2,8 @@
 //! documented error bounds.
 //!
 //! Runs the data-analysis matrix twice — exact and sampled under
-//! [`dc_cpu::SamplePlan::DEFAULT`] — and compares the derived metrics
-//! per workload:
+//! [`dc_cpu::SamplePlan::DEFAULT`] — over one recorded stream per
+//! workload, and compares the derived metrics per workload:
 //!
 //! ```text
 //! cargo run --release -p dc-benches --bin sampled-validation -- \
@@ -64,12 +64,19 @@ fn rel_err(sampled: f64, exact: f64) -> f64 {
     (sampled - exact).abs() / exact.abs().max(0.1)
 }
 
+/// Compare both modes per workload, drawing each workload's stream once
+/// and simulating exact and sampled from the same recording.
 fn compare(exact: &Characterizer, sampled: &Characterizer) -> Vec<Row> {
     BenchmarkId::data_analysis()
         .iter()
         .map(|&id| {
-            let e = exact.run(id);
-            let s = sampled.run(id);
+            let stream = exact.record(id);
+            let replay = |bench: &Characterizer| {
+                bench
+                    .run_replayed(id, &stream)
+                    .expect("both harnesses share the seed the stream was drawn at")
+            };
+            let (e, s) = (replay(exact), replay(sampled));
             Row {
                 name: id.name(),
                 ipc_exact: e.ipc,

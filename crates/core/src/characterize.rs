@@ -27,7 +27,8 @@ use crate::registry::BenchmarkId;
 use dc_cpu::{core::SimOptions, Chip, Core, CpuConfig, PerfCounts};
 use dc_obs::{Recorder, Value};
 use dc_perfmon::{msr, Metrics, PerfEvent, SampledMetrics};
-use dc_trace::SyntheticTrace;
+use dc_trace::replay::ReplayMismatch;
+use dc_trace::{Replay, SyntheticTrace, TraceSource};
 
 /// Characterization harness: machine config + measurement window.
 #[derive(Debug, Clone)]
@@ -143,19 +144,82 @@ impl Characterizer {
         self.seed ^ (id as u64) << 3
     }
 
+    /// Run one instruction stream through this harness's machine and
+    /// window.
+    fn simulate_trace<T: TraceSource>(&self, trace: T) -> PerfCounts {
+        Core::new(self.cfg.clone()).run(trace, &self.opts)
+    }
+
     /// Simulate one entry, unconditionally (no cache lookup, no
     /// insertion). The sequential reference path the parallel/cached
     /// pipeline is verified against.
-    fn simulate(&self, id: BenchmarkId) -> PerfCounts {
-        let prof = profile(id);
-        let trace = SyntheticTrace::new(&prof, self.entry_seed(id));
-        Core::new(self.cfg.clone()).run(trace, &self.opts)
+    pub(crate) fn simulate(&self, id: BenchmarkId) -> PerfCounts {
+        self.simulate_trace(SyntheticTrace::new(&profile(id), self.entry_seed(id)))
+    }
+
+    /// [`Characterizer::simulate`], recording the stream as it is
+    /// synthesized.
+    pub(crate) fn simulate_recording(&self, id: BenchmarkId) -> (PerfCounts, Replay) {
+        let mut tee = Replay::tee(&profile(id), self.entry_seed(id));
+        let counts = self.simulate_trace(&mut tee);
+        (counts, tee.finish())
+    }
+
+    /// [`Characterizer::simulate`] from a recorded stream; rejects a
+    /// recording of any other stream.
+    pub(crate) fn simulate_replay(
+        &self,
+        id: BenchmarkId,
+        replay: &Replay,
+    ) -> Result<PerfCounts, ReplayMismatch> {
+        replay.check(&profile(id), self.entry_seed(id))?;
+        Ok(self.simulate_trace(replay.reader()))
+    }
+
+    /// Counter block for one entry through the memoizing cache;
+    /// `simulate` runs only on a miss.
+    pub(crate) fn counts_with(
+        &self,
+        id: BenchmarkId,
+        simulate: impl FnOnce() -> PerfCounts,
+    ) -> PerfCounts {
+        let key = CacheKey::new(id, &self.cfg, &self.opts, self.entry_seed(id));
+        cache::counts_for(key, &self.recorder, simulate)
     }
 
     /// Counter block for one entry through the memoizing cache.
     fn counts(&self, id: BenchmarkId) -> PerfCounts {
-        let key = CacheKey::new(id, &self.cfg, &self.opts, self.entry_seed(id));
-        cache::counts_for(key, &self.recorder, || self.simulate(id))
+        self.counts_with(id, || self.simulate(id))
+    }
+
+    /// Record one entry's instruction stream: the ops a measurement
+    /// window of this harness retires. The stream depends on the entry
+    /// and the seed only, so one recording serves every machine and
+    /// both exact and sampled windows through
+    /// [`Characterizer::run_replayed`].
+    pub fn record(&self, id: BenchmarkId) -> Replay {
+        Replay::record(
+            &profile(id),
+            self.entry_seed(id),
+            self.opts.warmup_ops + self.opts.max_ops,
+        )
+    }
+
+    /// [`Characterizer::run`], simulating from a recorded stream
+    /// instead of synthesizing it. The result is bit-identical and goes
+    /// through the same cache key, so memo hits, store write-through,
+    /// events and [`cache::sim_invocations`] are exactly those of
+    /// [`Characterizer::run`]. Fails, whatever the cache holds, when
+    /// `replay` was not drawn from this entry's profile at this
+    /// harness's seed.
+    pub fn run_replayed(
+        &self,
+        id: BenchmarkId,
+        replay: &Replay,
+    ) -> Result<Metrics, ReplayMismatch> {
+        replay.check(&profile(id), self.entry_seed(id))?;
+        let counts = self.counts_with(id, || self.simulate_trace(replay.reader()));
+        Ok(Metrics::from_counts(id.name(), &counts))
     }
 
     /// Characterize one benchmark entry.
@@ -447,6 +511,44 @@ mod tests {
             c.corun(BenchmarkId::KMeans, 1),
             c.run_uncached(BenchmarkId::KMeans)
         );
+    }
+
+    #[test]
+    fn replayed_runs_equal_live_runs_under_the_same_key() {
+        // A seed no other test uses: the replayed run misses, simulates
+        // once, and its block then serves the live path as a hit.
+        let c = Characterizer::new(
+            CpuConfig::westmere_e5645(),
+            SimOptions::exact(30_000, 10_000),
+            0x000E_91A7_2013,
+        );
+        let stream = c.record(BenchmarkId::Grep);
+        assert_eq!(stream.len(), 40_000, "one window's worth of ops");
+        let sampled = c.clone().with_sampling(5_000, 10_000);
+        assert_eq!(
+            sampled.run_replayed(BenchmarkId::Grep, &stream),
+            Ok(sampled.run_uncached(BenchmarkId::Grep)),
+            "one stream serves both modes"
+        );
+        let replayed = c.run_replayed(BenchmarkId::Grep, &stream);
+        assert_eq!(replayed, Ok(c.run_uncached(BenchmarkId::Grep)));
+        let before = cache::sim_invocations();
+        assert_eq!(Ok(c.run(BenchmarkId::Grep)), replayed);
+        assert_eq!(cache::sim_invocations(), before, "same cache key");
+    }
+
+    #[test]
+    fn replay_of_another_stream_is_rejected() {
+        let c = Characterizer::quick();
+        let sort = Replay::record(
+            &profile(BenchmarkId::Sort),
+            c.entry_seed(BenchmarkId::Sort),
+            100,
+        );
+        let err = c.run_replayed(BenchmarkId::Grep, &sort).unwrap_err();
+        assert_eq!(err.requested.0, profile(BenchmarkId::Grep).name);
+        let other_seed = Characterizer::new(c.config().clone(), *c.options(), 7);
+        assert!(other_seed.run_replayed(BenchmarkId::Sort, &sort).is_err());
     }
 
     #[test]

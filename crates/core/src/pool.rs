@@ -72,7 +72,16 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let width = jobs();
+    parallel_map_with(jobs(), items, f)
+}
+
+/// [`parallel_map`] at an explicit worker width.
+pub(crate) fn parallel_map_with<T, R, F>(width: usize, items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T) -> R + Sync,
+{
     let slots = width.min(items.len()).max(1);
     let reg = metrics::global();
     let depth = reg.gauge("dc_pool_queue_depth", &[]);

@@ -13,17 +13,23 @@
 //!   RS entries, predictor history bits, prefetch on/off) plus the grid
 //!   of values to visit, each validated through the fallible
 //!   `CpuConfig::try_with_*` builders at expansion time;
-//! * [`run`] expands `(workload × axis-point)` into a flat job grid and
-//!   fans it out across [`crate::pool`] workers. Every job is a pure
-//!   function of `(entry, config, window, seed)`: the per-entry trace
-//!   seed depends only on the master seed and the entry id — **not** on
-//!   the swept configuration — so every point of a curve executes the
-//!   identical instruction stream, and results are bit-identical to the
+//! * [`run`] expands `(workload × axis-point)` into a grid, folds the
+//!   cells that repeat a machine (the base config every axis brackets)
+//!   into one, and fans the distinct cells out across [`crate::pool`]
+//!   workers, workload by workload. Every job is a pure function of
+//!   `(entry, config, window, seed)`: the per-entry trace seed depends
+//!   only on the master seed and the entry id — **not** on the swept
+//!   configuration — so every point of a curve executes the identical
+//!   instruction stream, and results are bit-identical to the
 //!   sequential reference order at any `DCBENCH_JOBS` width;
+//! * because that stream is identical, a workload's first simulated
+//!   cell records it ([`dc_trace::Replay`]) and the workload's later
+//!   cells replay it instead of synthesizing it again; the recording is
+//!   dropped when the workload's last cell finishes;
 //! * every point goes through the memoizing counter cache
-//!   ([`crate::cache`], keyed on `CpuConfig::stable_hash`), so the
-//!   baseline point shared by several axes simulates once, and
-//!   regenerating the exhibit from a warm cache costs lookups only;
+//!   ([`crate::cache`], keyed on `CpuConfig::stable_hash`), so
+//!   regenerating the exhibit from a warm cache costs lookups only and
+//!   records nothing;
 //! * with a recorder attached to the harness, one `sweep_point` event
 //!   per grid cell plus one `sweep_axis` summary per axis are emitted
 //!   **after** the parallel phase, on the caller thread, in fixed
@@ -36,6 +42,8 @@ use crate::registry::BenchmarkId;
 use dc_cpu::{ConfigError, CpuConfig, PerfCounts};
 use dc_obs::{Recorder, Value};
 use dc_perfmon::Metrics;
+use dc_trace::Replay;
+use std::sync::{Arc, Mutex};
 
 /// Which machine knob a sweep axis varies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -225,12 +233,13 @@ pub struct AxisSweep {
 /// Sweep `ids` along every axis in `axes` against `bench`'s machine,
 /// window and seed.
 ///
-/// The whole `(workload × point)` grid across all axes is flattened
-/// into one job list and fanned out over [`crate::pool::jobs`] workers;
-/// each job reads or fills the process-wide counter cache under its
-/// config's `stable_hash` key. Results are reassembled in `(axis,
-/// point, workload)` order, so output is bit-identical to the
-/// sequential reference at any worker count.
+/// The grid's distinct `(workload, machine)` cells are fanned out over
+/// [`crate::pool::jobs`] workers, workload by workload; each cell reads
+/// or fills the process-wide counter cache under its config's
+/// `stable_hash` key, and the cells of one workload share one recorded
+/// stream. Results are reassembled in `(axis, point, workload)` order,
+/// so output is bit-identical to the sequential reference at any worker
+/// count.
 ///
 /// With a recorder attached to `bench`, `sweep_point` / `sweep_axis`
 /// events are emitted after the parallel phase in that same fixed
@@ -244,31 +253,161 @@ pub fn run(
     ids: &[BenchmarkId],
     axes: &[SweepAxis],
 ) -> Result<Vec<AxisSweep>, ConfigError> {
+    run_with_width(bench, ids, axes, pool::jobs()).map(|(sweeps, _)| sweeps)
+}
+
+/// How one grid cell's simulation drew its instruction stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Draw {
+    /// Synthesized live and recorded for the workload's later cells.
+    Recorded,
+    /// Replayed from the workload's recording.
+    Replayed,
+    /// Synthesized live while another worker was still recording.
+    Live,
+}
+
+/// One workload's stream, shared by the grid cells that simulate it.
+struct SharedStream(Mutex<StreamState>);
+
+struct StreamState {
+    recording: Recording,
+    /// Cells of the workload not yet finished.
+    cells_left: usize,
+}
+
+enum Recording {
+    /// No cell has missed the cache yet.
+    Unclaimed,
+    /// A worker is simulating the first missing cell and recording.
+    InProgress,
+    Ready(Arc<Replay>),
+    /// The workload's last cell finished; the buffer is freed.
+    Dropped,
+}
+
+impl SharedStream {
+    fn new(cells: usize) -> Self {
+        SharedStream(Mutex::new(StreamState {
+            recording: Recording::Unclaimed,
+            cells_left: cells,
+        }))
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, StreamState> {
+        self.0
+            .lock()
+            .expect("stream state is only swapped whole, never left half-updated")
+    }
+
+    /// Simulate one missing cell of `id` on `cell`'s machine: record
+    /// the stream if no cell has, replay it if it is ready, and
+    /// otherwise synthesize it live rather than wait.
+    fn simulate(&self, cell: &Characterizer, id: BenchmarkId) -> (PerfCounts, Draw) {
+        let mut st = self.lock();
+        match &st.recording {
+            Recording::Ready(replay) => {
+                let replay = Arc::clone(replay);
+                drop(st);
+                let counts = cell
+                    .simulate_replay(id, &replay)
+                    .expect("a workload's recording is replayed by its own cells only");
+                (counts, Draw::Replayed)
+            }
+            Recording::Unclaimed => {
+                st.recording = Recording::InProgress;
+                drop(st);
+                let (counts, replay) = cell.simulate_recording(id);
+                self.lock().recording = Recording::Ready(Arc::new(replay));
+                (counts, Draw::Recorded)
+            }
+            Recording::InProgress | Recording::Dropped => {
+                drop(st);
+                (cell.simulate(id), Draw::Live)
+            }
+        }
+    }
+
+    /// Mark one cell finished, dropping the recording after the last.
+    fn cell_done(&self) {
+        let mut st = self.lock();
+        st.cells_left -= 1;
+        if st.cells_left == 0 {
+            st.recording = Recording::Dropped;
+        }
+    }
+}
+
+/// The first item of each distinct key, in input order.
+fn distinct<T, K: PartialEq>(items: impl IntoIterator<Item = T>, key: impl Fn(&T) -> K) -> Vec<T> {
+    let mut out: Vec<T> = Vec::new();
+    for item in items {
+        let k = key(&item);
+        if !out.iter().any(|seen| key(seen) == k) {
+            out.push(item);
+        }
+    }
+    out
+}
+
+/// [`run`] at an explicit worker width, also returning how each
+/// simulated cell drew its stream (cache hits draw nothing).
+fn run_with_width(
+    bench: &Characterizer,
+    ids: &[BenchmarkId],
+    axes: &[SweepAxis],
+    width: usize,
+) -> Result<(Vec<AxisSweep>, Vec<Draw>), ConfigError> {
     // Expand and validate the whole grid before simulating anything.
     let expanded: Vec<Vec<CpuConfig>> = axes
         .iter()
         .map(|axis| axis.configs(bench.config()))
         .collect::<Result<_, _>>()?;
 
-    // Flat job list in (axis, point, workload) order. Workers measure
-    // through a recorder-less clone so no event reaches the sink from
-    // a nondeterministic thread interleaving.
-    let quiet = bench.clone().with_recorder(Recorder::disabled());
-    let jobs: Vec<(BenchmarkId, CpuConfig)> = expanded
+    // One job per distinct (workload, machine) pair, workload-major:
+    // the base machine every axis brackets would otherwise appear once
+    // per axis, and nearby duplicates in the queue could race into
+    // duplicate simulations. Workload-major order keeps all workers on
+    // one workload's stream at a time. Workers measure through a
+    // recorder-less clone so no event reaches the sink from a
+    // nondeterministic thread interleaving.
+    let workloads = distinct(ids.iter().copied(), |&id| id);
+    let machines = distinct(
+        expanded
+            .iter()
+            .flatten()
+            .map(|cfg| (cfg.stable_hash(), cfg)),
+        |&(hash, _)| hash,
+    );
+    let streams: Vec<SharedStream> = workloads
         .iter()
-        .flat_map(|configs| {
-            configs
-                .iter()
-                .flat_map(|cfg| ids.iter().map(move |&id| (id, cfg.clone())))
-        })
+        .map(|_| SharedStream::new(machines.len()))
         .collect();
-    let blocks = pool::parallel_map(jobs, move |_, (id, cfg)| {
-        quiet.clone().with_config(cfg).raw_counts(id)
+    let quiet = bench.clone().with_recorder(Recorder::disabled());
+    let jobs: Vec<(usize, usize)> = (0..workloads.len())
+        .flat_map(|w| (0..machines.len()).map(move |m| (w, m)))
+        .collect();
+    let results = pool::parallel_map_with(width, jobs, |_, (w, m)| {
+        let (id, stream) = (workloads[w], &streams[w]);
+        let cell = quiet.clone().with_config(machines[m].1.clone());
+        let mut draw = None;
+        let counts = cell.counts_with(id, || {
+            let (counts, how) = stream.simulate(&cell, id);
+            draw = Some(how);
+            counts
+        });
+        stream.cell_done();
+        (counts, draw)
     });
+    let draws = results.iter().filter_map(|(_, draw)| *draw).collect();
+    let workload_of = |id: BenchmarkId| workloads.iter().position(|&w| w == id);
+    let machine_of = |cfg: &CpuConfig| {
+        let hash = cfg.stable_hash();
+        machines.iter().position(|&(h, _)| h == hash)
+    };
 
     // Reassemble: blocks[axis][point][workload] in emission order.
     let mut sweeps = Vec::with_capacity(axes.len());
-    let mut flat = blocks.into_iter();
     for (axis, configs) in axes.iter().zip(&expanded) {
         let mut curves: Vec<WorkloadCurve> = ids
             .iter()
@@ -278,9 +417,11 @@ pub fn run(
                 metrics: Vec::with_capacity(configs.len()),
             })
             .collect();
-        for _ in configs {
+        for cfg in configs {
+            let m = machine_of(cfg).expect("every grid machine has jobs");
             for curve in curves.iter_mut() {
-                let counts = flat.next().expect("one block per grid cell");
+                let w = workload_of(curve.id).expect("every workload has jobs");
+                let counts = results[w * machines.len() + m].0;
                 curve
                     .metrics
                     .push(Metrics::from_counts(curve.id.name(), &counts));
@@ -296,7 +437,7 @@ pub fn run(
     }
 
     emit_sweep_events(bench.recorder(), &sweeps);
-    Ok(sweeps)
+    Ok((sweeps, draws))
 }
 
 /// Emit the deterministic event stream for an already-computed sweep:
@@ -469,6 +610,85 @@ mod tests {
             sc.counts[1], ec.counts[1],
             "sampled and exact grids must not share cache entries"
         );
+    }
+
+    /// Cold reduced grid at `width` workers on a seed no other test
+    /// uses: every distinct cell simulates exactly once, each workload
+    /// records its stream once, and every block equals an uncached
+    /// live simulation of its cell. A warm rerun simulates nothing.
+    fn reduced_grid_at_width(width: usize, seed: u64) -> Vec<Draw> {
+        let bench = Characterizer::new(
+            CpuConfig::westmere_e5645(),
+            SimOptions::exact(20_000, 5_000),
+            seed,
+        );
+        let ids = BenchmarkId::data_analysis();
+        let axes = SweepAxis::reduced_axes();
+        let (sweeps, draws) = run_with_width(&bench, ids, &axes, width).expect("valid grid");
+        assert_eq!(draws.len(), 44, "11 workloads x 4 distinct machines");
+        let recorded = draws.iter().filter(|&&d| d == Draw::Recorded).count();
+        assert_eq!(recorded, ids.len(), "one recording per workload");
+        for (sweep, axis) in sweeps.iter().zip(&axes) {
+            let configs = axis.configs(bench.config()).expect("valid grid");
+            for curve in &sweep.curves {
+                for (cfg, counts) in configs.iter().zip(&curve.counts) {
+                    let cell = bench.clone().with_config(cfg.clone());
+                    assert_eq!(*counts, cell.simulate(curve.id), "{:?}", curve.id);
+                }
+            }
+        }
+        let (warm, warm_draws) = run_with_width(&bench, ids, &axes, width).expect("valid grid");
+        assert!(
+            warm_draws.is_empty(),
+            "a warm grid records or simulates nothing"
+        );
+        for (w, c) in warm.iter().zip(&sweeps) {
+            for (wc, cc) in w.curves.iter().zip(&c.curves) {
+                assert_eq!(wc.counts, cc.counts);
+            }
+        }
+        draws
+    }
+
+    #[test]
+    fn reduced_grid_simulates_each_distinct_cell_once_sequentially() {
+        let draws = reduced_grid_at_width(1, 0x5EE9_0001);
+        // One worker never finds a recording in progress: every cell
+        // after a workload's first replays.
+        let replayed = draws.iter().filter(|&&d| d == Draw::Replayed).count();
+        assert_eq!(replayed, 33);
+    }
+
+    #[test]
+    fn reduced_grid_simulates_each_distinct_cell_once_on_two_workers() {
+        reduced_grid_at_width(2, 0x5EE9_0002);
+    }
+
+    #[test]
+    fn axes_that_repeat_the_base_machine_simulate_it_once() {
+        // Every point here is the base machine. Two workers would both
+        // take a workload's adjacent duplicate cells at once and race
+        // into two simulations, so the grid must fold them first.
+        let bench = Characterizer::new(
+            CpuConfig::westmere_e5645(),
+            SimOptions::exact(20_000, 5_000),
+            0x5EE9_0003,
+        );
+        let axes = [
+            SweepAxis::l3_bytes(vec![12 << 20]),
+            SweepAxis::rob_entries(vec![128]),
+            SweepAxis::predictor_bits(vec![12]),
+        ];
+        let ids = [BenchmarkId::Sort, BenchmarkId::Grep];
+        let (sweeps, draws) = run_with_width(&bench, &ids, &axes, 2).expect("valid grid");
+        assert_eq!(
+            draws,
+            vec![Draw::Recorded; 2],
+            "one simulation per workload"
+        );
+        for sweep in &sweeps {
+            assert_eq!(sweep.curves[0].counts, sweeps[0].curves[0].counts);
+        }
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //! "2 % of memory accesses touch a 6 MiB region at random"), never effects
 //! (an IPC or a miss ratio is never written down anywhere).
 //!
-//! The [`record`] module provides lightweight probes that the real
-//! algorithm implementations in `dc-analytics` use to measure their own
-//! op mix and branch bias, which is how the analytics profiles were
-//! cross-checked.
+//! [`replay::Replay`] records a synthesized stream once in a compact
+//! encoding, so a study that simulates the same stream on many machines
+//! (a sensitivity sweep, exact against sampled runs) pays for synthesis
+//! once.
 //!
 //! ```
 //! use dc_trace::{profile::WorkloadProfile, synth::SyntheticTrace};
@@ -42,20 +42,21 @@
 
 pub mod op;
 pub mod profile;
-pub mod record;
+pub mod replay;
 pub mod reuse;
 pub mod rng;
 pub mod synth;
 
 pub use op::{MicroOp, Mode, OpKind};
 pub use profile::WorkloadProfile;
+pub use replay::Replay;
 pub use synth::{SyntheticTrace, MAX_DEP_DIST};
 
 /// A source of micro-operations consumed by the CPU simulator.
 ///
-/// Implemented by [`synth::SyntheticTrace`] (profile-driven synthesis) and
-/// [`record::RecordedTrace`] (replay of ops captured from real kernels via
-/// [`record::Probe`]).
+/// Implemented by every `Iterator<Item = MicroOp>`, among them
+/// [`synth::SyntheticTrace`] (profile-driven synthesis) and the readers
+/// of a [`replay::Replay`] (a recorded synthesized stream).
 pub trait TraceSource {
     /// Produce the next micro-op, or `None` when the trace is exhausted.
     fn next_op(&mut self) -> Option<MicroOp>;
