@@ -1,19 +1,17 @@
-//! # dc-benches — the benchmark harness
+//! # dc-benches — validation tools for the stack's artifacts
 //!
-//! Criterion targets that regenerate every exhibit of the paper
-//! (`benches/figures.rs`, `benches/tables.rs`), ablation studies for the
-//! paper's architectural recommendations (`benches/ablations.rs`), and
-//! micro-benchmarks of the real workload kernels (`benches/kernels.rs`).
+//! Despite the crate name, this is not a bench harness: the
+//! repository's one benchmark is `perfbench/` (see `BENCHMARK.json`).
+//! What lives here are the checkers CI runs against the stack's
+//! output:
 //!
-//! Each figure bench *prints the regenerated rows once* and then times
-//! the regeneration, so `cargo bench` doubles as the reproduction run;
-//! EXPERIMENTS.md records the printed series against the paper's.
+//! * [`schema`] — the documented `dc-obs` JSONL event schema and its
+//!   validator;
+//! * [`metrics_text`] — the validator for the metrics registry's text
+//!   exposition;
+//! * `obs-schema-check` — the CLI over both validators;
+//! * `sampled-validation` — holds SMARTS sampled simulation to its
+//!   documented IPC and MPKI error bounds against exact simulation.
 
 pub mod metrics_text;
 pub mod schema;
-
-/// Shared quick-characterizer constructor so every bench measures the
-/// same configuration.
-pub fn bench_characterizer() -> dcbench::Characterizer {
-    dcbench::Characterizer::quick()
-}

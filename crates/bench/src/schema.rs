@@ -1,8 +1,8 @@
 //! The documented `dc-obs` JSONL event schema, and a validator for it.
 //!
 //! Every JSONL artifact the stack emits — the phase exhibit from
-//! `examples/phases.rs`, engine job timelines, cluster replays, and
-//! `dc-bench`'s own run metadata — is a stream of lines shaped
+//! `examples/phases.rs`, engine job timelines, cluster replays, sweep
+//! cells and the daemon's job streams — is a stream of lines shaped
 //! `{"seq":N,"ts":N,"kind":"…","fields":{…}}`. This module pins that
 //! contract: [`validate_line`] checks one line's envelope and the
 //! per-kind required fields below, and [`validate_stream`] additionally
@@ -109,10 +109,6 @@ pub const EVENT_SCHEMA: &[(&str, &[&str])] = &[
         ],
     ),
     ("node_recover", &["recovered", "alive"]),
-    // dc-bench run metadata (ts: entry index).
-    ("bench_run_start", &["label", "window", "jobs"]),
-    ("bench_entry", &["name", "wall_ms", "threads"]),
-    ("bench_run_end", &["entries"]),
     // Persistent result store (ts: logical, always 0).
     ("store_hit", &["entry", "corun"]),
     ("store_miss", &["entry", "corun"]),

@@ -5,7 +5,7 @@
 //! the core model is deterministic, so the measured [`PerfCounts`]
 //! block for a given key never changes. Regenerating several figures
 //! in one process (`characterize_all -- fig3 fig7 fig9`, the report
-//! tests, the bench harness) used to re-simulate the same ~3.2 M-µop
+//! tests, perfbench) used to re-simulate the same ~3.2 M-µop
 //! window once per figure; the cache collapses that to once per key.
 //!
 //! Raw *counter blocks* are cached, not derived [`Metrics`] rows, so

@@ -2,9 +2,10 @@
 //!
 //! [`CpuConfig::westmere_e5645`] reproduces Table III of the paper: the
 //! Intel Xeon E5645 (Westmere-EP) machine the authors measured. All
-//! geometry and latency parameters are exposed so the benchmark harness
-//! can run the ablation studies the paper's recommendations imply (LLC
-//! capacity, predictor simplification, ROB/RS sizing).
+//! geometry and latency parameters are exposed so the sensitivity sweep
+//! (`dcbench::sweep`) can run the ablation studies the paper's
+//! recommendations imply (LLC capacity, predictor simplification, ROB/RS
+//! sizing, the prefetcher).
 
 use std::fmt;
 

@@ -28,8 +28,8 @@
 //! one of [`SHARDS`] mutex-guarded maps, so registration from many
 //! threads does not serialize on one lock. Registration is the *only*
 //! locking operation — the returned [`Counter`]/[`Gauge`]/[`Histogram`]
-//! handles are `Arc`s onto atomic cells, so the hot path is a relaxed
-//! atomic RMW (plus one load of the registry-wide enabled flag).
+//! handles are `Arc`s onto atomic cells, so the hot path is one relaxed
+//! atomic RMW per cell, with no branch and no lock.
 //!
 //! [`Histogram`] merge is lossless: bucket counts, count and sum add,
 //! min/max combine — `merge(a, b)` is indistinguishable from having fed
@@ -37,7 +37,7 @@
 //! per-worker shards be combined without bias.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::event::write_json_string;
@@ -164,7 +164,6 @@ impl Clock for FakeClock {
 /// operation.
 #[derive(Clone)]
 pub struct Counter {
-    enabled: Arc<AtomicBool>,
     cell: Arc<AtomicU64>,
 }
 
@@ -178,9 +177,7 @@ impl Counter {
     /// Increment by `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -198,7 +195,6 @@ impl Counter {
 /// workers…). Clones share one cell.
 #[derive(Clone)]
 pub struct Gauge {
-    enabled: Arc<AtomicBool>,
     cell: Arc<AtomicU64>, // stores i64 bits
 }
 
@@ -206,17 +202,13 @@ impl Gauge {
     /// Set to an absolute level.
     #[inline]
     pub fn set(&self, v: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.store(v as u64, Ordering::Relaxed);
-        }
+        self.cell.store(v as u64, Ordering::Relaxed);
     }
 
     /// Add a (possibly negative) delta.
     #[inline]
     pub fn add(&self, dv: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.fetch_add(dv as u64, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(dv as u64, Ordering::Relaxed);
     }
 
     /// Increment by one.
@@ -281,7 +273,6 @@ impl HistCells {
 /// when the stack snapshots.
 #[derive(Clone)]
 pub struct Histogram {
-    enabled: Arc<AtomicBool>,
     cells: Arc<HistCells>,
 }
 
@@ -289,9 +280,6 @@ impl Histogram {
     /// Record one observation.
     #[inline]
     pub fn observe(&self, v: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let c = &self.cells;
         c.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         c.count.fetch_add(1, Ordering::Relaxed);
@@ -745,14 +733,12 @@ type Shard = Mutex<HashMap<(String, Vec<(String, String)>), Slot>>;
 /// The lock-sharded metric registry. See the module docs for the
 /// layout and determinism contract.
 pub struct Registry {
-    enabled: Arc<AtomicBool>,
     shards: [Shard; SHARDS],
 }
 
 impl Default for Registry {
     fn default() -> Self {
         Registry {
-            enabled: Arc::new(AtomicBool::new(true)),
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
         }
     }
@@ -777,21 +763,9 @@ fn fnv1a(name: &str, labels: &[(String, String)]) -> u64 {
 }
 
 impl Registry {
-    /// A fresh, enabled registry.
+    /// A fresh, empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Turn recording on/off. Disabled handles early-return before
-    /// touching their cells (the `metrics_disabled` bench path);
-    /// values already recorded remain readable.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether handles record.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     fn sorted_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
@@ -805,7 +779,7 @@ impl Registry {
 
     fn slot<T, F, G>(&self, name: &str, labels: &[(&str, &str)], make: F, cast: G) -> T
     where
-        F: FnOnce(&Arc<AtomicBool>) -> Slot,
+        F: FnOnce() -> Slot,
         G: Fn(&Slot) -> Option<T>,
     {
         let ls = Self::sorted_labels(labels);
@@ -813,9 +787,7 @@ impl Registry {
         // across shards.
         let shard = &self.shards[(fnv1a(name, &ls) as usize) % SHARDS];
         let mut map = shard.lock().unwrap_or_else(|p| p.into_inner());
-        let slot = map
-            .entry((name.to_string(), ls))
-            .or_insert_with(|| make(&self.enabled));
+        let slot = map.entry((name.to_string(), ls)).or_insert_with(make);
         cast(slot)
             .unwrap_or_else(|| panic!("metric {name} already registered with a different type"))
     }
@@ -825,9 +797,8 @@ impl Registry {
         self.slot(
             name,
             labels,
-            |enabled| {
+            || {
                 Slot::Counter(Counter {
-                    enabled: enabled.clone(),
                     cell: Arc::new(AtomicU64::new(0)),
                 })
             },
@@ -843,9 +814,8 @@ impl Registry {
         self.slot(
             name,
             labels,
-            |enabled| {
+            || {
                 Slot::Gauge(Gauge {
-                    enabled: enabled.clone(),
                     cell: Arc::new(AtomicU64::new(0)),
                 })
             },
@@ -861,9 +831,8 @@ impl Registry {
         self.slot(
             name,
             labels,
-            |enabled| {
+            || {
                 Slot::Histogram(Histogram {
-                    enabled: enabled.clone(),
                     cells: Arc::new(HistCells::new()),
                 })
             },
@@ -1017,21 +986,6 @@ mod tests {
         let reg = Registry::new();
         reg.counter("x", &[]).inc();
         reg.gauge("x", &[]);
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let reg = Registry::new();
-        let c = reg.counter("c", &[]);
-        let h = reg.histogram("h", &[]);
-        reg.set_enabled(false);
-        c.inc();
-        h.observe(5);
-        assert_eq!(c.value(), 0);
-        assert_eq!(h.count(), 0);
-        reg.set_enabled(true);
-        c.inc();
-        assert_eq!(c.value(), 1);
     }
 
     #[test]

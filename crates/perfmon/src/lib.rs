@@ -11,9 +11,7 @@
 //!   [`dc_cpu::PerfCounts`] block, the way `perf stat` reads MSRs;
 //! * [`metrics::Metrics`] — the derived per-workload metrics behind every
 //!   figure of the paper (IPC, stall breakdown, MPKIs, walk rates,
-//!   misprediction ratio);
-//! * [`osstat`] — `/proc`-style OS-level statistics (disk writes,
-//!   network traffic) used by Figure 5.
+//!   misprediction ratio).
 //!
 //! ```
 //! use dc_perfmon::events::PerfEvent;
@@ -34,11 +32,9 @@
 pub mod events;
 pub mod metrics;
 pub mod msr;
-pub mod osstat;
 pub mod sampling;
 
 pub use events::PerfEvent;
 pub use metrics::Metrics;
-pub use msr::{ChipPmu, Pmu};
-pub use osstat::OsStats;
+pub use msr::Pmu;
 pub use sampling::{IntervalMetrics, SampledMetrics};

@@ -2,7 +2,7 @@
 //!
 //! Each kernel returns a result summary with a self-check, mirroring the
 //! HPCC harness's residual/verification outputs. Sizes are parameters so
-//! the bench harness can sweep them.
+//! callers can scale them.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -43,7 +43,6 @@
 pub mod op;
 pub mod profile;
 pub mod replay;
-pub mod reuse;
 pub mod rng;
 pub mod synth;
 

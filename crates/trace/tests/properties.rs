@@ -1,7 +1,6 @@
 //! Property-based invariants of the trace layer.
 
 use dc_trace::profile::{AccessPattern, DataRegion, InstMix, WorkloadProfile};
-use dc_trace::reuse::ReuseHistogram;
 use dc_trace::rng::{Geometric, SplitMix64, Zipf};
 use dc_trace::synth::SyntheticTrace;
 use proptest::prelude::*;
@@ -85,18 +84,6 @@ proptest! {
         let total: u64 = (0..20_000).map(|_| g.sample(&mut rng)).sum();
         let got = total as f64 / 20_000.0;
         prop_assert!((got - mean).abs() < mean * 0.2 + 0.2, "got {got} want {mean}");
-    }
-
-    /// Reuse histogram conservation: cold + bucketed == total.
-    #[test]
-    fn reuse_histogram_conserves(addrs in proptest::collection::vec(0u64..(1 << 16), 1..500)) {
-        let mut h = ReuseHistogram::new();
-        for a in &addrs {
-            h.touch(*a);
-        }
-        let bucketed: u64 = h.buckets.iter().sum();
-        prop_assert_eq!(h.cold + bucketed, h.total);
-        prop_assert_eq!(h.total, addrs.len() as u64);
     }
 
     /// Kernel fraction is realised within tolerance for any setting.

@@ -9,7 +9,7 @@
 //! 1. no hierarchy/pipeline refactor may silently shift single-core
 //!    numbers — any drift fails field-by-field with a readable diff;
 //! 2. a 1-core [`dc_cpu::Chip`] is **bit-identical** to `Core::run`
-//!    (the refactor's central acceptance criterion), checked by driving
+//!    (the refactor's central acceptance check), checked by driving
 //!    the chip path against the same constants.
 //!
 //! If a deliberate model change shifts these numbers, regenerate the
